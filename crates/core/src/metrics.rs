@@ -208,7 +208,17 @@ mod tests {
         let registry = Registry::new();
         let metrics = SolveMetrics::register(&registry);
         let m = cycle(9);
-        let out = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
+        // No MaxR/MaxC early exit: the implicit phase runs its reductions,
+        // so the kernel has cache lookups to report.
+        let options = crate::scg::ScgOptions {
+            core: cover::CoreOptions {
+                max_rows: 0,
+                max_cols: 0,
+                ..cover::CoreOptions::default()
+            },
+            ..crate::scg::ScgOptions::default()
+        };
+        let out = Scg::run(SolveRequest::for_matrix(&m).options(options)).unwrap();
         metrics.record(&out);
 
         let text = registry.render_prometheus();

@@ -107,36 +107,15 @@ impl ImplicitMatrix {
 
     /// Fallible [`ImplicitMatrix::encode_with`] for budgeted managers.
     ///
-    /// Builds the row family one row at a time, checkpointing after each,
-    /// so the kernel can collect intermediate unions. If a row still
-    /// overflows the node budget after a forced collection, the error is
-    /// returned and the partially-built manager is dropped.
+    /// Builds the row family in one pass ([`Zdd::try_from_sets`]), which
+    /// leaves no garbage behind, so the family fits exactly when the
+    /// budget covers its own nodes. If it does not, the error is returned
+    /// and the partially-built manager is dropped.
     pub fn try_encode_with(m: &CoverMatrix, opts: ZddOptions) -> Result<Self, ZddOverflow> {
         let mut zdd = opts.build();
-        let mut rows = NodeId::EMPTY;
+        let rows =
+            zdd.try_from_sets(m.rows().iter().map(|row| row.iter().map(|&j| Var::from(j))))?;
         let root = zdd.register_root(rows);
-        for row in m.rows() {
-            let vars: Vec<Var> = row.iter().map(|&j| Var::from(j)).collect();
-            let add = |z: &mut Zdd, rows: NodeId| -> Result<NodeId, ZddOverflow> {
-                let one = z.try_set(vars.iter().copied())?;
-                z.try_union(rows, one)
-            };
-            rows = match add(&mut zdd, rows) {
-                Ok(r) => r,
-                Err(_) => {
-                    // One recovery attempt: collect down to the rooted
-                    // prefix of the family, then retry the row.
-                    zdd.set_root(root, rows);
-                    zdd.collect();
-                    rows = zdd.root(root);
-                    add(&mut zdd, rows)?
-                }
-            };
-            zdd.set_root(root, rows);
-            if zdd.maybe_gc().is_some() {
-                rows = zdd.root(root);
-            }
-        }
         Ok(ImplicitMatrix {
             zdd,
             rows,
@@ -578,6 +557,39 @@ mod tests {
             gcd.zdd_stats().gc_runs > 0,
             "tiny threshold never collected"
         );
+    }
+
+    #[test]
+    fn a_budget_of_exactly_the_family_encodes() {
+        // Twenty overlapping rows: a family of a few dozen nodes.
+        let rows: Vec<Vec<usize>> = (0..20).map(|i| vec![i, i + 3, i + 7]).collect();
+        let m = CoverMatrix::from_rows(27, rows);
+        // The family's nodes plus the two terminals: no room for garbage.
+        let needed = ImplicitMatrix::encode(&m).node_count() + 2;
+        let exact = ZddOptions::new().node_budget(needed);
+        let im = ImplicitMatrix::try_encode_with(&m, exact).expect("the family fits");
+        assert_eq!(im.num_rows(), 20);
+        let short = ZddOptions::new().node_budget(needed - 1);
+        assert!(ImplicitMatrix::try_encode_with(&m, short).is_err());
+    }
+
+    #[test]
+    fn a_200k_column_row_encodes_on_a_small_stack() {
+        const WIDTH: usize = 200_000;
+        let nodes = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let m = CoverMatrix::from_rows(WIDTH, vec![(0..WIDTH).collect()]);
+                let im = ImplicitMatrix::encode(&m);
+                // Iterative queries only: the reductions still recurse
+                // once per chain node.
+                assert!(!im.infeasible() && !im.is_done());
+                im.node_count()
+            })
+            .unwrap()
+            .join()
+            .expect("encoding overflowed a 2 MB stack");
+        assert_eq!(nodes, WIDTH);
     }
 
     #[test]

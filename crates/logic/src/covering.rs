@@ -88,27 +88,23 @@ impl UcpInstance {
 
     /// Verifies that a candidate PLA realises the original specification:
     /// for every output, `ON ⊆ candidate ⊆ ON ∪ DC`.
+    ///
+    /// Checked exactly on BDDs of the specification and the candidate in
+    /// one manager (`ON ⇒ candidate` and `candidate ⇒ ON ∨ DC`), so the
+    /// cost tracks the diagrams, not the `2^n` assignments.
     pub fn verify_against(&self, original: &Pla, candidate: &Pla) -> bool {
         if original.num_inputs() != candidate.num_inputs()
             || original.num_outputs() != candidate.num_outputs()
         {
             return false;
         }
-        let n = original.num_inputs();
-        for o in 0..original.num_outputs() {
-            let on = original.on_cover(o);
-            let dc = original.dc_cover(o);
-            let cand = candidate.on_cover(o);
-            for a in 0..1u64 << n {
-                let lower = on.eval(a);
-                let upper = lower || dc.eval(a);
-                let got = cand.eval(a);
-                if (lower && !got) || (got && !upper) {
-                    return false;
-                }
-            }
-        }
-        true
+        let mut mgr = Bdd::default();
+        let spec = original.output_functions(&mut mgr);
+        spec.iter().enumerate().all(|(o, f)| {
+            let cand = candidate.on_cover(o).to_bdd(&mut mgr);
+            let upper = mgr.or(f.on, f.dc);
+            mgr.implies_check(f.on, cand) && mgr.implies_check(cand, upper)
+        })
     }
 }
 
@@ -159,6 +155,23 @@ pub fn build_covering(pla: &Pla) -> Result<UcpInstance, BuildCoveringError> {
 ///
 /// See [`build_covering`].
 pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, BuildCoveringError> {
+    build_covering_by(pla, cost, covering_rows)
+}
+
+/// The covering matrix's rows: `(row meanings, row lists, kept columns)`.
+type Rows = (Vec<(u64, usize)>, Vec<Vec<usize>>, Vec<(Cube, u64)>);
+
+/// Builds [`Rows`] from the input count, each output's ON-minterms and
+/// the sorted candidate columns.
+type RowBuilder = fn(usize, &[Vec<u64>], Vec<(Cube, u64)>) -> Rows;
+
+/// [`build_covering_with`] with the row builder as a parameter, so tests
+/// can check [`covering_rows`] against the row-major reference.
+fn build_covering_by(
+    pla: &Pla,
+    cost: TermCost,
+    rows: RowBuilder,
+) -> Result<UcpInstance, BuildCoveringError> {
     let n = pla.num_inputs();
     if n > MAX_EXPANSION_INPUTS {
         return Err(BuildCoveringError::TooManyInputs(n));
@@ -225,32 +238,8 @@ pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, Bui
     // Freeze columns in a deterministic order.
     let mut columns: Vec<(Cube, u64)> = col_mask.into_iter().collect();
     columns.sort();
-    // Drop columns that cover no ON-minterm of any output they serve
-    // (pure-DC primes).
     let on_minterms: Vec<Vec<u64>> = funcs.iter().map(|f| mgr.minterms(f.on, n as u32)).collect();
-    columns.retain(|(cube, mask)| {
-        (0..pla.num_outputs())
-            .any(|o| mask >> o & 1 == 1 && on_minterms[o].iter().any(|&m| cube.eval(m)))
-    });
-
-    // Rows and the sparse matrix.
-    let mut rows_meta: Vec<(u64, usize)> = Vec::new();
-    for (o, ms) in on_minterms.iter().enumerate() {
-        for &m in ms {
-            rows_meta.push((m, o));
-        }
-    }
-    let sparse_rows: Vec<Vec<usize>> = rows_meta
-        .iter()
-        .map(|&(m, o)| {
-            columns
-                .iter()
-                .enumerate()
-                .filter(|(_, (cube, mask))| mask >> o & 1 == 1 && cube.eval(m))
-                .map(|(j, _)| j)
-                .collect()
-        })
-        .collect();
+    let (rows_meta, sparse_rows, columns) = rows(n, &on_minterms, columns);
     let costs: Vec<f64> = match cost {
         TermCost::Products => vec![1.0; columns.len()],
         TermCost::ProductsThenLiterals => {
@@ -271,6 +260,68 @@ pub fn build_covering_with(pla: &Pla, cost: TermCost) -> Result<UcpInstance, Bui
         num_inputs: n,
         num_outputs: pla.num_outputs(),
     })
+}
+
+/// Builds the rows of the covering matrix column by column.
+///
+/// Rows are the `(minterm, output)` pairs of `on_minterms`, output-major.
+/// Each candidate column, in order, visits the ON-minterms it covers for
+/// every output in its mask, either by enumerating the cube's own minterms
+/// (submasks of its free variables) against a per-output minterm index or,
+/// when the cube is wider than that output's ON-set, by scanning the
+/// ON-set. Columns covering no ON-minterm (pure-DC primes) are dropped and
+/// the rest renumbered in order, so every row list comes out ascending.
+fn covering_rows(n: usize, on_minterms: &[Vec<u64>], candidates: Vec<(Cube, u64)>) -> Rows {
+    let mut rows_meta: Vec<(u64, usize)> = Vec::new();
+    let mut index: Vec<Vec<(u64, usize)>> = Vec::with_capacity(on_minterms.len());
+    for (o, ms) in on_minterms.iter().enumerate() {
+        let mut by_minterm: Vec<(u64, usize)> = ms
+            .iter()
+            .enumerate()
+            .map(|(k, &m)| (m, rows_meta.len() + k))
+            .collect();
+        by_minterm.sort_unstable();
+        index.push(by_minterm);
+        rows_meta.extend(ms.iter().map(|&m| (m, o)));
+    }
+    let mut sparse_rows: Vec<Vec<usize>> = vec![Vec::new(); rows_meta.len()];
+    let inputs = (1u64 << n) - 1;
+    let mut columns: Vec<(Cube, u64)> = Vec::new();
+    for (cube, mask) in candidates {
+        let j = columns.len();
+        let free = inputs & !(cube.pos() | cube.neg());
+        let mut hit = false;
+        for (o, by_minterm) in index.iter().enumerate() {
+            if mask >> o & 1 == 0 {
+                continue;
+            }
+            if 1usize << free.count_ones() <= by_minterm.len() {
+                let mut sub = free;
+                loop {
+                    let m = cube.pos() | sub;
+                    if let Ok(k) = by_minterm.binary_search_by_key(&m, |&(m, _)| m) {
+                        sparse_rows[by_minterm[k].1].push(j);
+                        hit = true;
+                    }
+                    if sub == 0 {
+                        break;
+                    }
+                    sub = (sub - 1) & free;
+                }
+            } else {
+                for &(m, i) in by_minterm {
+                    if cube.eval(m) {
+                        sparse_rows[i].push(j);
+                        hit = true;
+                    }
+                }
+            }
+        }
+        if hit {
+            columns.push((cube, mask));
+        }
+    }
+    (rows_meta, sparse_rows, columns)
 }
 
 /// The maximal set of outputs for which `cube` is an implicant of `upper_o`.
@@ -395,6 +446,183 @@ mod tests {
         let inst = build_covering(&pla).unwrap();
         assert_eq!(inst.rows.len(), 0);
         assert_eq!(inst.matrix.num_rows(), 0);
+    }
+}
+
+/// The column-major row builder and the BDD verifier against the
+/// explicit algorithms they replaced, kept here only as oracles.
+#[cfg(test)]
+mod equivalence_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The row-major reference: every row tests every column.
+    fn covering_rows_row_major(
+        _n: usize,
+        on_minterms: &[Vec<u64>],
+        mut columns: Vec<(Cube, u64)>,
+    ) -> Rows {
+        columns.retain(|(cube, mask)| {
+            (0..on_minterms.len())
+                .any(|o| mask >> o & 1 == 1 && on_minterms[o].iter().any(|&m| cube.eval(m)))
+        });
+        let mut rows_meta: Vec<(u64, usize)> = Vec::new();
+        for (o, ms) in on_minterms.iter().enumerate() {
+            for &m in ms {
+                rows_meta.push((m, o));
+            }
+        }
+        let sparse_rows = rows_meta
+            .iter()
+            .map(|&(m, o)| {
+                columns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (cube, mask))| mask >> o & 1 == 1 && cube.eval(m))
+                    .map(|(j, _)| j)
+                    .collect()
+            })
+            .collect();
+        (rows_meta, sparse_rows, columns)
+    }
+
+    /// Brute-force `ON ⊆ candidate ⊆ ON ∪ DC` over all `2^n` assignments.
+    fn verify_brute(original: &Pla, candidate: &Pla) -> bool {
+        if original.num_inputs() != candidate.num_inputs()
+            || original.num_outputs() != candidate.num_outputs()
+        {
+            return false;
+        }
+        (0..original.num_outputs()).all(|o| {
+            let (on, dc, cand) = (
+                original.on_cover(o),
+                original.dc_cover(o),
+                candidate.on_cover(o),
+            );
+            (0..1u64 << original.num_inputs()).all(|a| {
+                let got = cand.eval(a);
+                if on.eval(a) {
+                    got
+                } else {
+                    !got || dc.eval(a)
+                }
+            })
+        })
+    }
+
+    /// A random PLA: about a third of the literals fixed per term, one
+    /// output per term, one term in five a don't-care.
+    fn random_pla(inputs: usize, outputs: usize, terms: usize, seed: u64) -> Pla {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pla = Pla::new(inputs, outputs);
+        for _ in 0..terms {
+            let cube = random_cube(&mut rng, inputs);
+            let o = 1u64 << rng.random_range(0..outputs);
+            let (on, dc) = if rng.random_range(0..5u32) == 0 {
+                (0, o)
+            } else {
+                (o, 0)
+            };
+            pla.push_term(cube, on, dc);
+        }
+        pla
+    }
+
+    fn random_cube(rng: &mut StdRng, inputs: usize) -> Cube {
+        let (mut pos, mut neg) = (0u64, 0u64);
+        for v in 0..inputs {
+            match rng.random_range(0..3u32) {
+                0 => pos |= 1 << v,
+                1 => neg |= 1 << v,
+                _ => {}
+            }
+        }
+        Cube::new(pos, neg)
+    }
+
+    fn assert_same_instance(a: &UcpInstance, b: &UcpInstance) {
+        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.columns, b.columns);
+        assert_eq!(a.matrix.num_cols(), b.matrix.num_cols());
+        assert_eq!(a.matrix.rows(), b.matrix.rows());
+        let bits = |m: &CoverMatrix| m.costs().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.matrix), bits(&b.matrix));
+        assert_eq!((a.num_inputs, a.num_outputs), (b.num_inputs, b.num_outputs));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn column_major_rows_match_row_major(
+            inputs in 1usize..=8,
+            outputs in 1usize..=4,
+            terms in 0usize..=24,
+            seed in 0u64..u64::MAX,
+        ) {
+            let pla = random_pla(inputs, outputs, terms, seed);
+            for cost in [TermCost::Products, TermCost::ProductsThenLiterals] {
+                let got = build_covering_with(&pla, cost).unwrap();
+                let want = build_covering_by(&pla, cost, covering_rows_row_major).unwrap();
+                assert_same_instance(&got, &want);
+            }
+        }
+
+        #[test]
+        fn bdd_verify_matches_brute_force(
+            inputs in 1usize..=10,
+            outputs in 1usize..=3,
+            terms in 1usize..=16,
+            seed in 0u64..u64::MAX,
+        ) {
+            let pla = random_pla(inputs, outputs, terms, seed);
+            let inst = build_covering(&pla).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            // The ON-set alone (always right); with one term dropped (wrong
+            // when that term alone covers an ON-point); with a random cube
+            // added (wrong when it reaches the OFF-set).
+            let mut on_only = Pla::new(inputs, outputs);
+            let mut dropped = Pla::new(inputs, outputs);
+            let skip = rng.random_range(0..pla.terms().len());
+            for (k, &(c, on, _)) in pla.terms().iter().enumerate() {
+                if on != 0 {
+                    on_only.push_term(c, on, 0);
+                    if k != skip {
+                        dropped.push_term(c, on, 0);
+                    }
+                }
+            }
+            let mut added = on_only.clone();
+            let o = rng.random_range(0..outputs);
+            added.push_term(random_cube(&mut rng, inputs), 1 << o, 0);
+            prop_assert!(inst.verify_against(&pla, &on_only));
+            for cand in [&dropped, &added] {
+                prop_assert_eq!(inst.verify_against(&pla, cand), verify_brute(&pla, cand));
+            }
+        }
+    }
+
+    #[test]
+    fn bdd_verify_rejects_both_kinds_of_error() {
+        // f = x0 with x1 don't-care on the x0=0 half.
+        let pla: Pla = ".i 2\n.o 1\n1- 1\n01 -\n.e\n".parse().unwrap();
+        let inst = build_covering(&pla).unwrap();
+        let ok: Pla = ".i 2\n.o 1\n-- 1\n.e\n".parse().unwrap();
+        let too_small: Pla = ".i 2\n.o 1\n11 1\n.e\n".parse().unwrap();
+        let too_big: Pla = ".i 2\n.o 1\n1- 1\n00 1\n.e\n".parse().unwrap();
+        for (cand, want) in [
+            (&pla, true),
+            (&ok, false),
+            (&too_small, false),
+            (&too_big, false),
+        ] {
+            assert_eq!(verify_brute(&pla, cand), want);
+            assert_eq!(inst.verify_against(&pla, cand), want);
+        }
+        let up_to_dc: Pla = ".i 2\n.o 1\n1- 1\n01 1\n.e\n".parse().unwrap();
+        assert!(inst.verify_against(&pla, &up_to_dc));
     }
 }
 

@@ -10,10 +10,11 @@
 
 use std::sync::Arc;
 use ucp::cover::{CoreOptions, CoverMatrix};
+use ucp::logic::build_covering;
 use ucp::ucp_core::{Preset, Scg, ScgOptions, ScgOutcome, SolveRequest, ZddOptions};
 use ucp::ucp_engine::{Engine, EngineConfig, JobError};
 use ucp::ucp_telemetry::{Event, Probe};
-use ucp::workloads::suite;
+use ucp::workloads::{random_pla, suite};
 
 /// A slice of the easy-cyclic suite, shared so requests are `'static`.
 fn instances() -> Vec<(String, Arc<CoverMatrix>)> {
@@ -83,7 +84,14 @@ fn batch_is_bit_identical_to_the_serial_loop() {
 #[test]
 fn batch_with_gc_kernel_stays_under_the_node_ceiling() {
     const NODE_CEILING: usize = 4096;
-    let insts = instances();
+    // The cyclic instances reduce nothing, so they leave the collector
+    // nothing to do; the PLA covering matrices reduce and leave garbage.
+    let mut insts = instances();
+    insts.extend((0..3).map(|seed| {
+        let pla = random_pla(8, 2, 20, 100, seed);
+        let inst = build_covering(&pla).expect("8 inputs expand explicitly");
+        (format!("pla-8x2-{seed}"), Arc::new(inst.matrix))
+    }));
     let schedule = |kernel: ZddOptions| ScgOptions {
         core: CoreOptions {
             // Disable the MaxR/MaxC early exit so the implicit phase
