@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use ucp_core::dual::dual_ascent;
 use ucp_core::greedy::{lagrangian_greedy, GammaRule};
-use ucp_core::{subgradient_ascent, SubgradientOptions};
+use ucp_core::{subgradient_ascent_with, SubgradientOptions};
+use ucp_telemetry::NoopProbe;
 use workloads::circulant;
 
 fn bench_lagrangian(c: &mut Criterion) {
@@ -28,7 +29,9 @@ fn bench_lagrangian(c: &mut Criterion) {
             ..SubgradientOptions::default()
         };
         group.bench_with_input(BenchmarkId::new("subgradient_100", n), &m, |b, m| {
-            b.iter(|| black_box(subgradient_ascent(m, &opts, None, None).lb))
+            b.iter(|| {
+                black_box(subgradient_ascent_with(m, &opts, None, None, None, &mut NoopProbe).lb)
+            })
         });
     }
     group.finish();

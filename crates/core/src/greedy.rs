@@ -622,62 +622,6 @@ pub(crate) fn greedy_pass_constrained(
     Some(cost)
 }
 
-/// [`best_greedy_with_scratch`] for the constrained pass: every rule in
-/// `rules`, cheapest admissible cover wins.
-pub(crate) fn best_greedy_constrained_with_scratch(
-    a: &CoverMatrix,
-    view: &SparseView,
-    c_tilde: &[f64],
-    rules: &[GammaRule],
-    ctx: &MulticoverCtx,
-    ws: &mut GreedyScratch,
-) -> Option<(Solution, f64)> {
-    let mut best: Option<(Solution, f64)> = None;
-    for &rule in rules {
-        if let Some(cost) = greedy_pass_constrained(a, view, c_tilde, rule, ctx, ws) {
-            match &best {
-                Some((_, bc)) if *bc <= cost => {}
-                _ => best = Some((ws.extract_solution(), cost)),
-            }
-        }
-    }
-    best
-}
-
-/// Runs one constrained Lagrangian greedy pass under `cons` (multicover
-/// demand + GUB groups) and returns the cover, or `None` when the pass
-/// cannot meet demand under the group bounds.
-///
-/// # Panics
-///
-/// Panics if `c_tilde.len() != a.num_cols()` or `cons` does not validate
-/// against `a` (validate with [`Constraints::validate_for`] first).
-///
-/// # Example
-///
-/// ```
-/// use cover::{Constraints, CoverMatrix};
-/// use ucp_core::greedy::{lagrangian_greedy_constrained, GammaRule};
-///
-/// let m = CoverMatrix::from_rows(3, vec![vec![0, 1, 2], vec![1, 2]]);
-/// let cons = Constraints::new().coverage(vec![2, 1]);
-/// let sol = lagrangian_greedy_constrained(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
-/// assert!(cons.is_satisfied(&m, &sol));
-/// ```
-pub fn lagrangian_greedy_constrained(
-    a: &CoverMatrix,
-    c_tilde: &[f64],
-    rule: GammaRule,
-    cons: &Constraints,
-) -> Option<Solution> {
-    assert_eq!(c_tilde.len(), a.num_cols(), "one rating cost per column");
-    cons.validate_for(a).expect("constraints fit the instance");
-    let ctx = MulticoverCtx::new(a, cons);
-    let mut ws = GreedyScratch::new(a);
-    greedy_pass_constrained(a, a.sparse(), c_tilde, rule, &ctx, &mut ws)?;
-    Some(ws.extract_solution())
-}
-
 /// Runs one Lagrangian greedy pass with the given rule.
 ///
 /// `c_tilde` are the Lagrangian costs steering the choice; the returned
@@ -742,17 +686,23 @@ fn rate(
 
 /// [`best_greedy`] over a caller-provided scratch: runs every rule,
 /// materialising a `Solution` only when a pass improves on the covers
-/// seen so far.
+/// seen so far. `mctx = Some` runs the constrained pass instead, so the
+/// cheapest cover admissible under its demand and group bounds wins.
 pub(crate) fn best_greedy_with_scratch(
     a: &CoverMatrix,
     view: &SparseView,
     c_tilde: &[f64],
     rules: &[GammaRule],
+    mctx: Option<&MulticoverCtx>,
     ws: &mut GreedyScratch,
 ) -> Option<(Solution, f64)> {
     let mut best: Option<(Solution, f64)> = None;
     for &rule in rules {
-        if let Some(cost) = greedy_pass(a, view, c_tilde, rule, ws) {
+        let pass = match mctx {
+            None => greedy_pass(a, view, c_tilde, rule, ws),
+            Some(ctx) => greedy_pass_constrained(a, view, c_tilde, rule, ctx, ws),
+        };
+        if let Some(cost) = pass {
             match &best {
                 Some((_, bc)) if *bc <= cost => {}
                 _ => best = Some((ws.extract_solution(), cost)),
@@ -770,13 +720,21 @@ pub fn best_greedy(
     rules: &[GammaRule],
 ) -> Option<(Solution, f64)> {
     let mut ws = GreedyScratch::new(a);
-    best_greedy_with_scratch(a, a.sparse(), c_tilde, rules, &mut ws)
+    best_greedy_with_scratch(a, a.sparse(), c_tilde, rules, None, &mut ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cover::GubGroup;
+
+    /// One constrained pass under `cons`, materialised.
+    fn constrained_cover(m: &CoverMatrix, c_tilde: &[f64], cons: &Constraints) -> Option<Solution> {
+        let ctx = MulticoverCtx::new(m, cons);
+        let mut ws = GreedyScratch::new(m);
+        greedy_pass_constrained(m, m.sparse(), c_tilde, GammaRule::Linear, &ctx, &mut ws)?;
+        Some(ws.extract_solution())
+    }
 
     fn cycle5() -> CoverMatrix {
         CoverMatrix::from_rows(
@@ -913,7 +871,7 @@ mod tests {
         // enough.
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1, 2], vec![2]]);
         let cons = Constraints::new().coverage(vec![2, 1]);
-        let sol = lagrangian_greedy_constrained(&m, m.costs(), GammaRule::Linear, &cons).unwrap();
+        let sol = constrained_cover(&m, m.costs(), &cons).unwrap();
         assert!(sol.len() >= 2);
         assert!(cons.is_satisfied(&m, &sol));
     }
@@ -925,7 +883,7 @@ mod tests {
         let m = CoverMatrix::from_rows(3, vec![vec![0, 1], vec![0, 1, 2]]);
         let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1], 1)]);
         let cheap: Vec<f64> = vec![-1.0, -1.0, 5.0];
-        let sol = lagrangian_greedy_constrained(&m, &cheap, GammaRule::Linear, &cons).unwrap();
+        let sol = constrained_cover(&m, &cheap, &cons).unwrap();
         assert!(cons.is_satisfied(&m, &sol));
         let in_group = sol.cols().iter().filter(|&&j| j < 2).count();
         assert!(in_group <= 1);
@@ -959,7 +917,7 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0],
         );
         let cons = Constraints::new().coverage(vec![2, 1, 1]);
-        let sol = lagrangian_greedy_constrained(&m, &[-1.0; 4], GammaRule::Linear, &cons).unwrap();
+        let sol = constrained_cover(&m, &[-1.0; 4], &cons).unwrap();
         assert!(cons.is_satisfied(&m, &sol));
     }
 

@@ -20,7 +20,8 @@
 //! * [`scg`] — the full constructive driver of Fig. 2 with its stochastic
 //!   restarts ([`Scg`]);
 //! * [`restart`] — the shared-core parallel restart engine scheduling
-//!   those runs over worker threads without changing the answer;
+//!   one core's runs over worker threads without changing the answer
+//!   (partition blocks solve one after another);
 //! * [`request`] — the unified solve API: build a [`SolveRequest`]
 //!   (instance + [`Preset`]/options + deadline + seed + probe +
 //!   [`CancelFlag`]) and pass it to [`Scg::run`].
@@ -66,8 +67,8 @@ pub use request::{CancelFlag, Preset, SolveError, SolveRequest};
 pub use restart::{restart_seed, splitmix64};
 pub use scg::{Scg, ScgOptions, ScgOutcome};
 pub use subgradient::{
-    subgradient_ascent, subgradient_ascent_constrained, subgradient_ascent_constrained_probed,
-    subgradient_ascent_probed, HistoryPoint, SubgradientOptions, SubgradientResult,
+    subgradient_ascent, subgradient_ascent_with, HistoryPoint, SubgradientOptions,
+    SubgradientResult,
 };
 pub use wire::{
     JobResultDto, JobSpec, JobState, JobStatusDto, SubmitBody, WireCode, WireError, WIRE_API,

@@ -757,18 +757,6 @@ mod tests {
         CoverMatrix::from_rows(n, (0..n).map(|i| vec![i, (i + 1) % n]).collect())
     }
 
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    fn run_matches_deprecated_solve() {
-        let m = cycle(9);
-        #[allow(deprecated)]
-        let old = Scg::with_defaults().solve(&m);
-        let new = Scg::run(SolveRequest::for_matrix(&m)).unwrap();
-        assert_eq!(old.cost, new.cost);
-        assert_eq!(old.solution.cols(), new.solution.cols());
-        assert_eq!(old.lower_bound, new.lower_bound);
-    }
-
     #[test]
     fn preset_paper_is_the_default_options() {
         let paper = Preset::Paper.options();

@@ -4,9 +4,10 @@
 //! stages. The *reduce* stage — implicit + explicit reductions,
 //! partitioning and the initial subgradient ascent — is deterministic and
 //! runs exactly once per solve, whatever the worker count. The *restarts*
-//! stage then schedules the paper's `NumIter` randomised constructive runs
+//! stage then schedules each core's `NumIter` randomised constructive runs
 //! over a scoped worker pool; this module holds the pieces that stage
-//! shares between workers.
+//! shares between workers. Disconnected partition blocks are solved one
+//! after another, each with its own restarts stage.
 //!
 //! # Determinism contract
 //!

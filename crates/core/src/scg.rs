@@ -11,10 +11,11 @@
 //! the residual matrix empties or the local bound proves no improvement is
 //! possible. Finally redundant columns are stripped.
 //!
-//! With [`ScgOptions::workers`] > 1 the restarts stage distributes runs
-//! (and disconnected partition blocks) over a scoped thread pool sharing
-//! one incumbent; see [`crate::restart`] for the engine and its
-//! determinism contract — the answer is identical for every worker count.
+//! Disconnected partition blocks solve one after another. With
+//! [`ScgOptions::workers`] > 1 each core's restarts stage distributes its
+//! runs over a scoped thread pool sharing one incumbent; see
+//! [`crate::restart`] for the engine and its determinism contract — the
+//! answer is identical for every worker count.
 
 use crate::dual::dual_ascent;
 use crate::penalty::{dual_penalties, lagrangian_penalties};
@@ -23,8 +24,7 @@ use crate::request::SolveRequest;
 use crate::request::{CancelFlag, Preset, SolveError};
 use crate::restart::{restart_seed, BufferProbe, RestartCtx, SharedIncumbent};
 use crate::subgradient::{
-    certified, lb_ceil_of, subgradient_ascent_constrained_probed, subgradient_ascent_probed,
-    SubgradientOptions, SubgradientResult,
+    certified, lb_ceil_of, subgradient_ascent_with, SubgradientOptions, SubgradientResult,
 };
 use cover::{
     cyclic_core_halted, Constraints, CoreAbort, CoreOptions, CoverMatrix, Halt, HaltReason,
@@ -35,8 +35,6 @@ use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-#[cfg(feature = "legacy-api")]
-use ucp_telemetry::NoopProbe;
 use ucp_telemetry::{Event, FixReason, PenaltyKind, Phase, PhaseTimes, Probe};
 
 /// All tunables of the `ZDD_SCG` solver. Field defaults are the paper's
@@ -74,16 +72,17 @@ pub struct ScgOptions {
     /// Apply the partitioning reduction (§2): disconnected blocks of the
     /// cyclic core are solved independently and their bounds added.
     pub partition: bool,
-    /// Worker threads for the restarts stage (and for disconnected
-    /// partition blocks). `1` solves inline on the calling thread; `0`
-    /// means "all available parallelism". The answer is the same for
-    /// every value — see [`crate::restart`].
+    /// Worker threads for the restarts stage of each core (partition
+    /// blocks themselves always solve one after another). `1` solves
+    /// inline on the calling thread; `0` means "all available
+    /// parallelism". The answer is the same for every value — see
+    /// [`crate::restart`].
     pub workers: usize,
     /// Serial-fallback threshold for the restarts stage: cores with fewer
     /// nonzeros than this solve inline even when [`ScgOptions::workers`]
     /// asks for a pool. Benchmarks on the snapshot suite measured the
-    /// pooled path at 0.99× (restarts) and 0.966× (partition blocks) with
-    /// 2 workers — on small sub-second cores thread spawn/join and the
+    /// pooled restarts at 0.99× with 2 workers — on small sub-second
+    /// cores thread spawn/join and the
     /// shared-incumbent traffic cost more than the restarts themselves,
     /// and on single-core hosts any pool is pure overhead. The restart
     /// engine's determinism contract guarantees the answer is identical
@@ -95,7 +94,8 @@ pub struct ScgOptions {
     /// constructive run. `0` (the default) disables emission entirely —
     /// the solve is bit-identical to one without the field. Checkpoints
     /// are only emitted on the serial single-core restarts path and on
-    /// the multicover path; partitioned and pooled stages skip them.
+    /// the multicover path; partitioned solves and pooled restarts skip
+    /// them.
     pub checkpoint_every: usize,
 }
 
@@ -121,17 +121,6 @@ impl Default for ScgOptions {
 }
 
 impl ScgOptions {
-    /// A cheaper preset for tests and very large sweeps: single run,
-    /// shorter subgradient phases.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Preset::Fast.options()` (see `ucp_core::Preset`)")]
-    pub fn fast() -> Self {
-        Preset::Fast.options()
-    }
-
     /// The option set of a named [`Preset`] — shorthand for
     /// [`Preset::options`].
     pub fn preset(preset: Preset) -> Self {
@@ -157,11 +146,11 @@ pub struct ScgOutcome {
     pub iterations: usize,
     /// Total subgradient iterations across all phases and workers.
     pub subgradient_iterations: usize,
-    /// Pool size scheduled for the restarts stage (or the partition-block
-    /// pool) — the decision after the
-    /// [`ScgOptions::parallel_nnz_threshold`] serial fallback. `1` means
-    /// the stage ran inline: requested serially, solved before any
-    /// restart, or the core fell below the threshold.
+    /// Pool size scheduled for the restarts stage — the decision after
+    /// the [`ScgOptions::parallel_nnz_threshold`] serial fallback, and
+    /// the largest over partition blocks. `1` means the stage ran
+    /// inline: requested serially, solved before any restart, or every
+    /// core fell below the threshold.
     pub restart_workers: usize,
     /// Cyclic-core computation time (`CC(s)` column of Tables 1–2).
     pub cc_time: Duration,
@@ -171,10 +160,10 @@ pub struct ScgOutcome {
     pub core_rows: usize,
     /// See [`ScgOutcome::core_rows`].
     pub core_cols: usize,
-    /// Per-phase time breakdown, summed over all workers and partition
-    /// blocks (CPU seconds, not wall clock: a parallel solve's phase total
-    /// can exceed `total_time`). For sequential solves `phase_times.total()`
-    /// closely tracks `total_time`.
+    /// Per-phase time breakdown, summed over all restart workers and
+    /// partition blocks (CPU seconds, not wall clock: a parallel solve's
+    /// phase total can exceed `total_time`). For sequential solves
+    /// `phase_times.total()` closely tracks `total_time`.
     pub phase_times: PhaseTimes,
     /// ZDD manager counters from the implicit reduction phase (all zero
     /// when the implicit phase was disabled). The reduce stage runs once
@@ -277,14 +266,16 @@ struct CoreOutcome {
     constructive_seconds: f64,
     /// Constructive runs skipped because a checkpoint accounted for them.
     resumed: usize,
+    /// Pool size scheduled for this core's restarts stage.
+    restart_workers: usize,
 }
 
-/// Checkpoint context for the restarts stage of the single connected
-/// core: emission cadence, the solve's start instant (checkpoints carry
-/// elapsed wall clock) and a validated checkpoint to resume from.
+/// Checkpoint context of a resumable solve: emission cadence, the solve's
+/// start instant (checkpoints carry elapsed wall clock), a validated
+/// checkpoint to resume from and which driver the snapshots describe.
 ///
-/// Only the unpartitioned path gets one — partition blocks and pooled
-/// block solves pass `None` and neither emit nor resume, keeping the
+/// Only the unpartitioned unate path and the multicover path get one —
+/// partition blocks pass `None` and neither emit nor resume, keeping the
 /// checkpoint's core fingerprint unambiguous.
 struct CkptCtx<'c> {
     /// Emit after every `every`-th constructive run (`0` = never).
@@ -293,38 +284,36 @@ struct CkptCtx<'c> {
     start: Instant,
     /// Validated checkpoint whose runs are already accounted for.
     resume: Option<&'c crate::checkpoint::SolverCheckpoint>,
+    /// `true` for the multicover driver's snapshots.
+    multicover: bool,
 }
 
 impl CkptCtx<'_> {
-    /// Emits one [`Event::Checkpoint`] snapshot. Callers gate on the
-    /// cadence; this only assembles the payload.
+    /// Emits one [`Event::Checkpoint`] snapshot of `core` with the
+    /// incumbent `(cost, solution)`. Callers gate on the cadence; this
+    /// only assembles the payload.
     fn emit<P: Probe>(
         &self,
-        ae: &CoverMatrix,
-        core_lb: f64,
-        incumbent: &SharedIncumbent,
+        core: &CoverMatrix,
         next_run: usize,
+        lower_bound: f64,
         lambda: &[f64],
+        (cost, solution): (f64, Option<Solution>),
         probe: &mut P,
     ) {
-        let (cost, solution) = incumbent.best();
         probe.record(Event::Checkpoint {
             next_run,
-            core_rows: ae.num_rows(),
-            core_cols: ae.num_cols(),
-            lower_bound: core_lb,
+            core_rows: core.num_rows(),
+            core_cols: core.num_cols(),
+            lower_bound,
             incumbent_cost: cost,
             elapsed_seconds: self.start.elapsed().as_secs_f64(),
             lambda: lambda.to_vec(),
             incumbent: solution.map(|s| s.cols().iter().map(|&c| c as u32).collect()),
-            multicover: false,
+            multicover: self.multicover,
         });
     }
 }
-
-/// A partition block's result slot: its core outcome plus the telemetry
-/// its worker buffered, claimed by the merge in block order.
-type BlockSlot = Mutex<Option<(CoreOutcome, Vec<Event>)>>;
 
 /// One restart's buffered telemetry, kept until the merge in restart order.
 struct RestartRecord {
@@ -371,53 +360,9 @@ impl Scg {
         }
     }
 
-    /// Solves the unate covering instance `m`.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Scg::run` with a `SolveRequest` (see the README migration table)")]
-    pub fn solve(&self, m: &CoverMatrix) -> ScgOutcome {
-        self.solve_impl(m, None, None, &mut NoopProbe)
-            .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// `solve` with a telemetry probe observing the pipeline.
-    ///
-    /// The probe receives [`Event::PhaseBegin`]/[`Event::PhaseEnd`] pairs for
-    /// every phase of Fig. 2 (implicit and explicit reduction, partitioning,
-    /// each subgradient ascent — including the warm-started ones nested in
-    /// constructive runs — the constructive phase, and postprocessing), one
-    /// [`Event::SubgradientIter`] per ascent iteration, and, inside the
-    /// constructive runs, [`Event::RestartBegin`]/[`Event::RestartEnd`],
-    /// [`Event::ColumnFix`] and [`Event::PenaltyElim`] events. Column indices
-    /// in `ColumnFix` events refer to the cyclic core.
-    ///
-    /// The probe never crosses threads: with `workers > 1`, restarts (and
-    /// partition blocks) record into per-worker buffers that are replayed
-    /// into this probe in restart order (block order for blocks) after the
-    /// pool joins, so a parallel trace reads like a sequential one apart
-    /// from the `worker` tags on restart events.
-    ///
-    /// With [`NoopProbe`] (what `solve` passes) all instrumentation
-    /// monomorphises away; the phase breakdown in [`ScgOutcome::phase_times`]
-    /// is filled in either way.
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `Scg::run` with `SolveRequest::for_matrix(m).probe(&mut p)` \
-                (see the README migration table)"
-    )]
-    pub fn solve_with_probe<P: Probe>(&self, m: &CoverMatrix, probe: &mut P) -> ScgOutcome {
-        self.solve_impl(m, None, None, probe)
-            .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// The one solve pipeline behind [`Scg::run`] and all deprecated
-    /// entrypoints: reduce once, partition, then the restarts stage, with
-    /// one [`Halt`] (deadline + cancellation) spanning everything.
+    /// The unate solve pipeline behind [`Scg::run`]: reduce once,
+    /// partition, then the restarts stage, with one [`Halt`] (deadline +
+    /// cancellation) spanning everything.
     pub(crate) fn solve_impl<P: Probe>(
         &self,
         m: &CoverMatrix,
@@ -535,16 +480,9 @@ impl Scg {
             every: self.opts.checkpoint_every,
             start,
             resume,
+            multicover: false,
         };
-        let co = self.solve_core(
-            ae,
-            integer_costs,
-            &halt,
-            0,
-            false,
-            Some(&ckpt_ctx),
-            &mut *probe,
-        );
+        let co = self.solve_core(ae, integer_costs, &halt, Some(&ckpt_ctx), &mut *probe);
         phases.add(Phase::Subgradient, co.sub_seconds);
         phases.add(Phase::Constructive, co.constructive_seconds);
         let global_lb = fixed_cost + co.lb.max(0.0);
@@ -573,7 +511,7 @@ impl Scg {
             infeasible: false,
             iterations: co.iterations,
             subgradient_iterations: co.sub_iters,
-            restart_workers: self.restart_pool(ae.nnz()).min(self.opts.num_iter.max(1)),
+            restart_workers: co.restart_workers,
             cc_time: core_res.cc_time,
             total_time: start.elapsed(),
             core_rows: ae.num_rows(),
@@ -638,26 +576,11 @@ impl Scg {
                 && ck.lambda.len() == m.num_rows()
                 && ck.next_run >= 1
         });
-        let every = self.opts.checkpoint_every;
-        let emit_checkpoint = |next_run: usize,
-                               lb: f64,
-                               lambda: &[f64],
-                               cost: f64,
-                               solution: &Option<Solution>,
-                               probe: &mut P| {
-            probe.record(Event::Checkpoint {
-                next_run,
-                core_rows: m.num_rows(),
-                core_cols: m.num_cols(),
-                lower_bound: lb,
-                incumbent_cost: cost,
-                elapsed_seconds: start.elapsed().as_secs_f64(),
-                lambda: lambda.to_vec(),
-                incumbent: solution
-                    .as_ref()
-                    .map(|s| s.cols().iter().map(|&c| c as u32).collect()),
-                multicover: true,
-            });
+        let ckpt = CkptCtx {
+            every: self.opts.checkpoint_every,
+            start,
+            resume,
+            multicover: true,
         };
 
         probe.record(Event::PhaseBegin {
@@ -666,7 +589,7 @@ impl Scg {
         let sub_start = Instant::now();
         let (mut sub_iters, mut best_lb, mut best_lambda, mut best_solution, mut best_cost);
         let (mut iterations, first_k, resumed);
-        if let Some(ck) = resume {
+        if let Some(ck) = ckpt.resume {
             sub_iters = 0;
             best_lb = ck.lower_bound;
             best_lambda = ck.lambda.clone();
@@ -686,8 +609,7 @@ impl Scg {
                 occurrence_heuristic: true,
                 ..self.opts.subgradient
             };
-            let mut res =
-                subgradient_ascent_constrained_probed(m, &initial_opts, cons, None, None, probe);
+            let mut res = subgradient_ascent_with(m, &initial_opts, Some(cons), None, None, probe);
             sub_iters = res.iterations;
             best_lb = res.lb;
             best_lambda = std::mem::take(&mut res.lambda);
@@ -697,15 +619,9 @@ impl Scg {
             first_k = 1;
             resumed = 0;
         }
-        if every > 0 {
-            emit_checkpoint(
-                first_k,
-                best_lb,
-                &best_lambda,
-                best_cost,
-                &best_solution,
-                probe,
-            );
+        if ckpt.every > 0 {
+            let incumbent = (best_cost, best_solution.clone());
+            ckpt.emit(m, first_k, best_lb, &best_lambda, incumbent, probe);
         }
 
         for k in first_k..self.opts.num_iter.max(1) {
@@ -722,10 +638,10 @@ impl Scg {
                 .map(|&l| l * rng.random_range(0.8..1.2))
                 .collect();
             let ub_hint = best_cost.is_finite().then_some(best_cost);
-            let r = subgradient_ascent_constrained_probed(
+            let r = subgradient_ascent_with(
                 m,
                 &self.opts.subgradient,
-                cons,
+                Some(cons),
                 Some(&lambda0),
                 ub_hint,
                 probe,
@@ -740,15 +656,9 @@ impl Scg {
                 best_cost = r.best_cost;
                 best_solution = r.best_solution;
             }
-            if every > 0 && k % every == 0 {
-                emit_checkpoint(
-                    k + 1,
-                    best_lb,
-                    &best_lambda,
-                    best_cost,
-                    &best_solution,
-                    probe,
-                );
+            if ckpt.every > 0 && k % ckpt.every == 0 {
+                let incumbent = (best_cost, best_solution.clone());
+                ckpt.emit(m, k + 1, best_lb, &best_lambda, incumbent, probe);
             }
         }
         let sub_seconds = sub_start.elapsed().as_secs_f64();
@@ -804,16 +714,15 @@ impl Scg {
         })
     }
 
-    /// Solves the disconnected blocks of an already-reduced cyclic core
-    /// and recombines.
+    /// Solves the disconnected blocks of an already-reduced cyclic core,
+    /// one after another, and recombines.
     ///
     /// Blocks of a matrix at the reduction fixpoint are themselves at the
     /// fixpoint (no reduction rule crosses disjoint components), so each
     /// block goes straight to its ascent + restarts — the cyclic core is
     /// computed exactly once per solve and the ZDD counters describe that
-    /// single computation. With `workers > 1` the blocks themselves solve
-    /// concurrently (restarts inside each block then run inline), their
-    /// telemetry buffered per block and replayed in block order.
+    /// single computation. Each block's restarts may still use the
+    /// restart pool.
     #[allow(clippy::too_many_arguments)]
     fn solve_blocks<P: Probe>(
         &self,
@@ -830,76 +739,21 @@ impl Scg {
         let mut lower_bound = fixed_cost;
         let mut iterations = 0usize;
         let mut sub_iters = 0usize;
-        // The serial-fallback decision looks at the whole core: if it is
-        // too small to amortise a pool, its blocks certainly are.
-        let pool = self.restart_pool(core_res.core.nnz());
-        let pooled = pool > 1 && blocks.len() > 1;
-        let restart_workers = if pooled { pool.min(blocks.len()) } else { 1 };
+        let mut restart_workers = 1usize;
 
-        let outcomes: Vec<CoreOutcome> = if pooled {
-            let enabled = probe.enabled();
-            let next = AtomicUsize::new(0);
-            let slots: Vec<BlockSlot> = blocks.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for w in 0..pool.min(blocks.len()) {
-                    let next = &next;
-                    let slots = &slots;
-                    let blocks = &blocks;
-                    scope.spawn(move || loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= blocks.len() {
-                            break;
-                        }
-                        let block = &blocks[b];
-                        let mut buf = BufferProbe::new(enabled);
-                        let co = self.solve_core(
-                            &block.matrix,
-                            block.matrix.integer_costs(),
-                            halt,
-                            w,
-                            true,
-                            None,
-                            &mut buf,
-                        );
-                        *slots[b].lock().expect("block slot lock") = Some((co, buf.into_events()));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    let (co, events) = slot
-                        .into_inner()
-                        .expect("block slot lock")
-                        .expect("every block is solved");
-                    for event in events {
-                        probe.record(event);
-                    }
-                    co
-                })
-                .collect()
-        } else {
-            blocks
-                .iter()
-                .map(|block| {
-                    self.solve_core(
-                        &block.matrix,
-                        block.matrix.integer_costs(),
-                        halt,
-                        0,
-                        false,
-                        None,
-                        &mut *probe,
-                    )
-                })
-                .collect()
-        };
-
-        for (block, co) in blocks.iter().zip(&outcomes) {
+        for block in &blocks {
+            let co = self.solve_core(
+                &block.matrix,
+                block.matrix.integer_costs(),
+                halt,
+                None,
+                &mut *probe,
+            );
             phases.add(Phase::Subgradient, co.sub_seconds);
             phases.add(Phase::Constructive, co.constructive_seconds);
             sub_iters += co.sub_iters;
             iterations = iterations.max(co.iterations);
+            restart_workers = restart_workers.max(co.restart_workers);
             lower_bound += co.lb.max(0.0);
             if let Some(sol) = &co.solution {
                 solution.extend(
@@ -945,18 +799,11 @@ impl Scg {
 
     /// Restarts stage for one connected, fully-reduced core: the initial
     /// subgradient ascent (run once) followed by the `NumIter` restarts.
-    ///
-    /// `worker_tag` labels this core's restart events when they run inline;
-    /// `force_serial` keeps restarts on the calling thread (used when the
-    /// caller already parallelised across partition blocks).
-    #[allow(clippy::too_many_arguments)]
     fn solve_core<P: Probe>(
         &self,
         ae: &CoverMatrix,
         integer_costs: bool,
         halt: &Halt,
-        worker_tag: usize,
-        force_serial: bool,
         ckpt: Option<&CkptCtx>,
         probe: &mut P,
     ) -> CoreOutcome {
@@ -967,7 +814,7 @@ impl Scg {
             phase: Phase::Subgradient,
         });
         let sub_start = Instant::now();
-        let sub0 = subgradient_ascent_probed(ae, &sub_opts, None, None, &mut *probe);
+        let sub0 = subgradient_ascent_with(ae, &sub_opts, None, None, None, &mut *probe);
         let sub_time = sub_start.elapsed().as_secs_f64();
         probe.record(Event::PhaseEnd {
             phase: Phase::Subgradient,
@@ -1004,9 +851,17 @@ impl Scg {
             resumed = first_run - 1;
         }
         if let Some(c) = ckpt.filter(|c| c.every > 0) {
-            c.emit(ae, core_lb, &incumbent, first_run, &sub0.lambda, probe);
+            c.emit(
+                ae,
+                first_run,
+                core_lb,
+                &sub0.lambda,
+                incumbent.best(),
+                probe,
+            );
         }
 
+        let pool = self.restart_pool(ae.nnz()).min(self.opts.num_iter.max(1));
         let mut restarts = RestartsResult::default();
         // A cover at the bound floor cannot be improved: skip the restarts.
         if base_ub > core_lb + 1e-9 {
@@ -1014,17 +869,7 @@ impl Scg {
                 phase: Phase::Constructive,
             });
             restarts = self.run_restarts(
-                ae,
-                &sub0,
-                core_lb,
-                base_ub,
-                first_run,
-                halt,
-                worker_tag,
-                force_serial,
-                ckpt,
-                &incumbent,
-                probe,
+                ae, &sub0, core_lb, base_ub, first_run, pool, halt, ckpt, &incumbent, probe,
             );
             probe.record(Event::PhaseEnd {
                 phase: Phase::Constructive,
@@ -1041,14 +886,15 @@ impl Scg {
             sub_seconds: sub_time + restarts.sub_seconds,
             constructive_seconds: restarts.constructive_seconds,
             resumed,
+            restart_workers: pool,
         }
     }
 
     /// Schedules the `NumIter` constructive runs, inline or across a
-    /// scoped worker pool. Either way restart `k` runs with the seed
-    /// `restart_seed(opts.seed, k)` and the deterministic pruning bound
-    /// described in [`crate::restart`], so the set of offers — and hence
-    /// the answer — is the same.
+    /// scoped pool of `pool` workers. Either way restart `k` runs with
+    /// the seed `restart_seed(opts.seed, k)` and the deterministic
+    /// pruning bound described in [`crate::restart`], so the set of
+    /// offers — and hence the answer — is the same.
     #[allow(clippy::too_many_arguments)]
     fn run_restarts<P: Probe>(
         &self,
@@ -1057,19 +903,13 @@ impl Scg {
         core_lb: f64,
         base_ub: f64,
         first_run: usize,
+        pool: usize,
         halt: &Halt,
-        worker_tag: usize,
-        force_serial: bool,
         ckpt: Option<&CkptCtx>,
         incumbent: &SharedIncumbent,
         probe: &mut P,
     ) -> RestartsResult {
         let num_iter = self.opts.num_iter;
-        let pool = if force_serial {
-            1
-        } else {
-            self.restart_pool(ae.nnz()).min(num_iter.max(1))
-        };
         let mut result = RestartsResult::default();
 
         if pool <= 1 {
@@ -1077,10 +917,7 @@ impl Scg {
                 if halt.reached() || incumbent.superseded(run) {
                     break;
                 }
-                probe.record(Event::RestartBegin {
-                    run,
-                    worker: worker_tag,
-                });
+                probe.record(Event::RestartBegin { run, worker: 0 });
                 let run_start = Instant::now();
                 let report =
                     self.restart_run(ae, sub0, run, core_lb, base_ub, halt, incumbent, probe);
@@ -1088,14 +925,14 @@ impl Scg {
                 if probe.enabled() {
                     probe.record(Event::RestartEnd {
                         run,
-                        worker: worker_tag,
+                        worker: 0,
                         cost: report.cost,
                         best_cost: incumbent.best_cost(),
                     });
                 }
                 result.absorb(&report, wall);
                 if let Some(c) = ckpt.filter(|c| c.every > 0 && run % c.every == 0) {
-                    c.emit(ae, core_lb, incumbent, run + 1, &sub0.lambda, probe);
+                    c.emit(ae, run + 1, core_lb, &sub0.lambda, incumbent.best(), probe);
                 }
             }
             return result;
@@ -1358,8 +1195,14 @@ impl Scg {
                 phase: Phase::Subgradient,
             });
             let ascent_start = Instant::now();
-            sub =
-                subgradient_ascent_probed(&cur, &sopts, Some(&lambda), Some(local_ub), &mut *probe);
+            sub = subgradient_ascent_with(
+                &cur,
+                &sopts,
+                None,
+                Some(&lambda),
+                Some(local_ub),
+                &mut *probe,
+            );
             let ascent_seconds = ascent_start.elapsed().as_secs_f64();
             report.sub_seconds += ascent_seconds;
             probe.record(Event::PhaseEnd {
@@ -1550,11 +1393,11 @@ mod partition_tests {
     }
 
     #[test]
-    fn concurrent_blocks_match_serial_blocks() {
+    fn pooled_block_restarts_match_serial_blocks() {
         let m = two_cycles(9);
         let serial = run_default(&m);
-        // threshold 0: force the block pool even on this tiny core so the
-        // concurrent path stays under test.
+        // threshold 0: force each block's restart pool even on this tiny
+        // core so the pooled path stays under test.
         let parallel = run_opts(
             &m,
             ScgOptions {
@@ -1566,79 +1409,11 @@ mod partition_tests {
         assert_eq!(serial.cost, parallel.cost);
         assert_eq!(serial.solution.cols(), parallel.solution.cols());
         assert_eq!(serial.lower_bound, parallel.lower_bound);
-        assert!(parallel.restart_workers > 1, "block pool should engage");
+        assert!(
+            parallel.restart_workers > 1,
+            "block restart pools should engage"
+        );
         assert_eq!(serial.restart_workers, 1);
-    }
-}
-
-impl Scg {
-    /// Solves `m` with the shared-core restart engine spread over `workers`
-    /// threads — shorthand for setting [`ScgOptions::workers`].
-    ///
-    /// Reductions, partitioning and the initial subgradient ascent run
-    /// once; only the `NumIter` constructive restarts (and disconnected
-    /// partition blocks) are distributed. All workers share one incumbent,
-    /// stop as soon as any restart certifies `cost ≤ ⌈LB⌉`, and their
-    /// phase/iteration counters are aggregated, so the outcome — cost,
-    /// solution, bound, and work accounting — is exactly the single-worker
-    /// outcome, only faster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` (pass [`ScgOptions::workers`]` = 0` for
-    /// "all cores" instead, where the meaning is unambiguous).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use cover::CoverMatrix;
-    /// use ucp_core::{Scg, SolveRequest};
-    ///
-    /// let m = CoverMatrix::from_rows(
-    ///     5,
-    ///     vec![vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 0]],
-    /// );
-    /// let out = Scg::run(SolveRequest::for_matrix(&m).workers(4)).unwrap();
-    /// assert_eq!(out.cost, 3.0);
-    /// ```
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(note = "use `Scg::run` with `SolveRequest::for_matrix(m).workers(n)`")]
-    pub fn solve_parallel(&self, m: &CoverMatrix, workers: usize) -> ScgOutcome {
-        assert!(workers > 0, "need at least one worker");
-        Scg::new(ScgOptions {
-            workers,
-            ..self.opts
-        })
-        .solve_impl(m, None, None, &mut NoopProbe)
-        .unwrap_or_else(|e| panic!("solve failed: {e}"))
-    }
-
-    /// `solve_parallel` with a telemetry probe: the parallel path
-    /// is fully observable (worker-tagged restart events, merged in
-    /// restart order).
-    ///
-    /// Only available with the `legacy-api` cargo feature (off by
-    /// default).
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        note = "use `Scg::run` with `SolveRequest::for_matrix(m).workers(n).probe(&mut p)`"
-    )]
-    pub fn solve_parallel_with_probe<P: Probe>(
-        &self,
-        m: &CoverMatrix,
-        workers: usize,
-        probe: &mut P,
-    ) -> ScgOutcome {
-        assert!(workers > 0, "need at least one worker");
-        Scg::new(ScgOptions {
-            workers,
-            ..self.opts
-        })
-        .solve_impl(m, None, None, probe)
-        .unwrap_or_else(|e| panic!("solve failed: {e}"))
     }
 }
 
@@ -1751,44 +1526,5 @@ mod parallel_tests {
         assert_eq!(solver(4, 0).restart_pool(1), 4);
         // A serial request is untouched by the threshold.
         assert_eq!(solver(1, 100).restart_pool(5), 1);
-    }
-}
-
-#[cfg(all(test, feature = "legacy-api"))]
-mod legacy_shim_tests {
-    // This module deliberately exercises the feature-gated deprecated
-    // shims so they stay equivalent to `Scg::run` until removal.
-    #![allow(deprecated)]
-    use super::*;
-
-    #[test]
-    fn solve_parallel_shim_matches_the_request_route() {
-        let m = CoverMatrix::from_rows(9, (0..9).map(|i| vec![i, (i + 1) % 9]).collect());
-        let shim = Scg::with_defaults().solve_parallel(&m, 4);
-        let new = run_opts(
-            &m,
-            ScgOptions {
-                workers: 4,
-                ..ScgOptions::default()
-            },
-        );
-        assert_eq!(shim.cost, new.cost);
-        assert_eq!(shim.solution.cols(), new.solution.cols());
-        assert_eq!(shim.lower_bound, new.lower_bound);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_panics() {
-        let m = CoverMatrix::from_rows(1, vec![vec![0]]);
-        let _ = Scg::with_defaults().solve_parallel(&m, 0);
-    }
-
-    #[test]
-    fn deprecated_fast_shim_matches_the_preset() {
-        let shim = ScgOptions::fast();
-        let preset = Preset::Fast.options();
-        assert_eq!(shim.num_iter, preset.num_iter);
-        assert_eq!(shim.subgradient.max_iters, preset.subgradient.max_iters);
     }
 }

@@ -14,8 +14,8 @@ use crate::ascent::AscentWorkspace;
 use crate::dual::dual_ascent;
 
 use crate::greedy::{
-    best_greedy_constrained_with_scratch, best_greedy_with_scratch, greedy_pass,
-    greedy_pass_constrained, GammaRule, GreedyScratch, MulticoverCtx,
+    best_greedy_with_scratch, greedy_pass, greedy_pass_constrained, GammaRule, GreedyScratch,
+    MulticoverCtx,
 };
 use cover::{Constraints, CoverMatrix, Solution};
 use ucp_telemetry::{Event, NoopProbe, Probe};
@@ -167,79 +167,51 @@ pub fn subgradient_ascent(
     lambda0: Option<&[f64]>,
     ub_hint: Option<f64>,
 ) -> SubgradientResult {
-    subgradient_ascent_probed(a, opts, lambda0, ub_hint, &mut NoopProbe)
+    subgradient_ascent_with(a, opts, None, lambda0, ub_hint, &mut NoopProbe)
 }
 
-/// [`subgradient_ascent`] with a telemetry probe receiving one
-/// [`Event::SubgradientIter`] per iteration (current `z_λ`, monotone LB,
-/// best UB, step size `t` and the violation norm `‖s‖²`). With
-/// [`NoopProbe`] this monomorphises to exactly the uninstrumented loop.
-pub fn subgradient_ascent_probed<P: Probe>(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-    probe: &mut P,
-) -> SubgradientResult {
-    ascent_impl(a, opts, lambda0, ub_hint, None, probe)
-}
-
-/// [`subgradient_ascent`] generalized to set-multicover demand and GUB
-/// group bounds (`cons`): the relaxation value/step arithmetic carries
-/// the per-row demand `b_i`, the primal heuristics run the constrained
-/// greedy, and `best_solution`/`best_cost` describe covers satisfying
-/// `cons` in full. The lower bound relaxes the group bounds (dropping an
-/// *at-most* constraint can only lower the optimum, so `lb` stays
-/// valid), and the optimality certificate compares that bound against
-/// the constrained incumbent — `proven_optimal` keeps its meaning.
+/// [`subgradient_ascent`] with optional side constraints and a telemetry
+/// probe — the one two-sided loop behind every ascent.
 ///
-/// Unate constraints (`cons.is_unate()`) run the generalized loop with
-/// an all-ones demand, which is bit-identical to [`subgradient_ascent`]
-/// (`λ_i · 1.0 == λ_i` everywhere the demand enters; the equivalence
-/// suite checks this).
+/// * `cons` — `None` is the unate ascent. `Some` generalizes it to
+///   set-multicover demand and GUB group bounds: the relaxation
+///   value/step arithmetic carries the per-row demand `b_i`, the primal
+///   heuristics run the constrained greedy, and
+///   `best_solution`/`best_cost` describe covers satisfying `cons` in
+///   full. The lower bound relaxes the group bounds (dropping an
+///   *at-most* constraint can only lower the optimum, so `lb` stays
+///   valid), and the optimality certificate compares that bound against
+///   the constrained incumbent — `proven_optimal` keeps its meaning.
+///   Unate constraints (`cons.is_unate()`) still run the constrained loop
+///   with an all-ones demand, which is bit-identical to `None`
+///   (`λ_i · 1.0 == λ_i` everywhere the demand enters; the equivalence
+///   suite checks this).
+/// * `probe` receives one [`Event::SubgradientIter`] per iteration
+///   (current `z_λ`, monotone LB, best UB, step size `t` and the
+///   violation norm `‖s‖²`). With [`NoopProbe`] this monomorphises to
+///   exactly the uninstrumented loop.
 ///
 /// # Panics
 ///
-/// Panics if `cons` does not validate against `a` — validate with
-/// [`Constraints::validate_for`] and surface the typed error before
-/// calling.
-pub fn subgradient_ascent_constrained(
+/// Panics if `lambda0` has the wrong length, or if `cons` does not
+/// validate against `a` — validate with [`Constraints::validate_for`]
+/// and surface the typed error before calling.
+pub fn subgradient_ascent_with<P: Probe>(
     a: &CoverMatrix,
     opts: &SubgradientOptions,
-    cons: &Constraints,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-) -> SubgradientResult {
-    subgradient_ascent_constrained_probed(a, opts, cons, lambda0, ub_hint, &mut NoopProbe)
-}
-
-/// [`subgradient_ascent_constrained`] with a telemetry probe (see
-/// [`subgradient_ascent_probed`]).
-pub fn subgradient_ascent_constrained_probed<P: Probe>(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    cons: &Constraints,
+    cons: Option<&Constraints>,
     lambda0: Option<&[f64]>,
     ub_hint: Option<f64>,
     probe: &mut P,
 ) -> SubgradientResult {
-    cons.validate_for(a).expect("constraints fit the instance");
-    let ctx = MulticoverCtx::new(a, cons);
-    ascent_impl(a, opts, lambda0, ub_hint, Some(&ctx), probe)
-}
-
-/// The shared two-sided loop. `mctx = None` is the historical unate
-/// ascent, byte-for-byte; `Some` switches the demand arithmetic and the
-/// greedy passes to their constrained forms at the three call sites that
-/// differ.
-fn ascent_impl<P: Probe>(
-    a: &CoverMatrix,
-    opts: &SubgradientOptions,
-    lambda0: Option<&[f64]>,
-    ub_hint: Option<f64>,
-    mctx: Option<&MulticoverCtx>,
-    probe: &mut P,
-) -> SubgradientResult {
+    // `mctx = None` is the historical unate ascent, byte-for-byte; `Some`
+    // switches the demand arithmetic and the greedy passes to their
+    // constrained forms at the three call sites that differ.
+    let mctx = cons.map(|cons| {
+        cons.validate_for(a).expect("constraints fit the instance");
+        MulticoverCtx::new(a, cons)
+    });
+    let mctx = mctx.as_ref();
     let integer_costs = a.integer_costs();
     let view = a.sparse();
 
@@ -267,13 +239,9 @@ fn ascent_impl<P: Probe>(
     } else {
         &GammaRule::FAST
     };
-    let initial = match mctx {
-        None => best_greedy_with_scratch(a, view, a.costs(), rules, &mut scratch),
-        Some(ctx) => {
-            best_greedy_constrained_with_scratch(a, view, a.costs(), rules, ctx, &mut scratch)
-        }
-    };
-    if let Some((sol, cost)) = initial {
+    if let Some((sol, cost)) =
+        best_greedy_with_scratch(a, view, a.costs(), rules, mctx, &mut scratch)
+    {
         best_cost = cost;
         best_solution = Some(sol);
     }
@@ -500,8 +468,14 @@ mod tests {
         let m = cycle(9);
         let unate = subgradient_ascent(&m, &SubgradientOptions::default(), None, None);
         let cons = Constraints::new().coverage(vec![1; 9]);
-        let multi =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let multi = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            Some(&cons),
+            None,
+            None,
+            &mut NoopProbe,
+        );
         assert_eq!(unate.lb.to_bits(), multi.lb.to_bits());
         assert_eq!(unate.ub_ld.to_bits(), multi.ub_ld.to_bits());
         assert_eq!(unate.best_cost.to_bits(), multi.best_cost.to_bits());
@@ -519,8 +493,14 @@ mod tests {
         // 5-cycle: each covers 2 rows, 5 rows × demand 2 = 10 = 5 × 2).
         let m = cycle(5);
         let cons = Constraints::new().coverage(vec![2; 5]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            Some(&cons),
+            None,
+            None,
+            &mut NoopProbe,
+        );
         let sol = r.best_solution.expect("feasible multicover exists");
         assert!(cons.is_satisfied(&m, &sol));
         assert_eq!(r.best_cost, 5.0);
@@ -543,8 +523,14 @@ mod tests {
         let m =
             CoverMatrix::with_costs(4, vec![vec![0, 2], vec![1, 3]], vec![1.0, 1.0, 10.0, 10.0]);
         let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1], 1)]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            Some(&cons),
+            None,
+            None,
+            &mut NoopProbe,
+        );
         let sol = r.best_solution.expect("feasible under the bound");
         assert!(cons.is_satisfied(&m, &sol));
         assert_eq!(r.best_cost, 11.0);
@@ -615,8 +601,14 @@ mod sampling_tests {
     fn default_stride_emits_every_iteration() {
         let m = cycle(9);
         let mut probe = RecordingProbe::new();
-        let r =
-            subgradient_ascent_probed(&m, &SubgradientOptions::default(), None, None, &mut probe);
+        let r = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            None,
+            None,
+            None,
+            &mut probe,
+        );
         let iters = iter_events(&probe);
         assert_eq!(iters.len(), r.iterations);
         assert!(iters.iter().enumerate().all(|(i, &(k, _))| i == k));
@@ -626,14 +618,20 @@ mod sampling_tests {
     fn sampling_thins_the_trace_but_keeps_the_envelope() {
         let m = cycle(9);
         let mut dense = RecordingProbe::new();
-        let r_dense =
-            subgradient_ascent_probed(&m, &SubgradientOptions::default(), None, None, &mut dense);
+        let r_dense = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            None,
+            None,
+            None,
+            &mut dense,
+        );
         let opts = SubgradientOptions {
             trace_every: 25,
             ..SubgradientOptions::default()
         };
         let mut sampled = RecordingProbe::new();
-        let r = subgradient_ascent_probed(&m, &opts, None, None, &mut sampled);
+        let r = subgradient_ascent_with(&m, &opts, None, None, None, &mut sampled);
 
         // Sampling must not change the solve itself.
         assert_eq!(r.iterations, r_dense.iterations);
@@ -672,7 +670,7 @@ mod sampling_tests {
             ..SubgradientOptions::default()
         };
         let mut probe = RecordingProbe::new();
-        let r = subgradient_ascent_probed(&m, &opts, None, None, &mut probe);
+        let r = subgradient_ascent_with(&m, &opts, None, None, None, &mut probe);
         assert_eq!(iter_events(&probe).len(), r.iterations);
     }
 }

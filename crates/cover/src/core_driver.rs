@@ -13,6 +13,17 @@ use std::time::{Duration, Instant};
 use ucp_telemetry::{DegradeReason, Event, NoopProbe, Phase, Probe};
 use zdd::ZddOverflow;
 
+/// Deepest row family (longest ZDD root-to-terminal path, see
+/// [`zdd::Zdd::depth`]) the implicit phase reduces. Its ZDD operations
+/// recurse once per node on such a path. On a 2 MB thread — the default
+/// stack of a spawned thread, which engine workers use — a solve
+/// overflowed between depths 8,000 and 9,000 in a debug build and
+/// between 10,000 and 20,000 in a release build, both for one long row
+/// and for a chain of 2-column rows. Deeper families skip straight to
+/// the explicit phase, exactly as with [`CoreOptions::use_implicit`]
+/// off.
+const MAX_IMPLICIT_DEPTH: usize = 4096;
+
 /// Tunables for the cyclic-core computation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoreOptions {
@@ -21,7 +32,10 @@ pub struct CoreOptions {
     pub max_rows: u128,
     /// `MaxC` of the paper: companion bound on columns.
     pub max_cols: usize,
-    /// Skip the implicit phase entirely (for ablation benchmarks).
+    /// Skip the implicit phase entirely (for ablation benchmarks). The
+    /// phase is also skipped, whatever this says, when the encoded family
+    /// is more than 4,096 nodes deep ([`zdd::Zdd::depth`]): its
+    /// recursive ZDD operations could overflow a worker's stack.
     pub use_implicit: bool,
     /// When the implicit phase exhausts the kernel's node budget, fall
     /// back to the explicit representation (salvaging whatever the
@@ -195,9 +209,17 @@ pub fn cyclic_core_halted<P: Probe>(
     let implicit_start = Instant::now();
     let mut zdd_stats = zdd::ZddStats::default();
     let mut degraded = false;
+    let mut implicit_ran = opts.use_implicit;
     let implicit_outcome: Result<(CoverMatrix, Vec<usize>, Vec<usize>), CoreAbort> =
         if opts.use_implicit {
             match ImplicitMatrix::try_encode_with(m, opts.kernel) {
+                // A path visits each column at most once, so narrow
+                // matrices skip the depth walk.
+                Ok(im) if m.num_cols() > MAX_IMPLICIT_DEPTH && im.depth() > MAX_IMPLICIT_DEPTH => {
+                    // Too deep to reduce without risking the stack.
+                    implicit_ran = false;
+                    Ok((m.clone(), Vec::new(), (0..m.num_cols()).collect()))
+                }
                 Ok(mut im) => match im.try_reduce_until_small(opts.max_rows, opts.max_cols, halt) {
                     Ok(fixed) => {
                         let (dec, col_map) = im.decode();
@@ -253,7 +275,7 @@ pub fn cyclic_core_halted<P: Probe>(
         seconds: implicit_time.as_secs_f64(),
     });
     let (explicit, implicit_fixed, col_map_a) = implicit_outcome?;
-    if opts.use_implicit {
+    if implicit_ran {
         probe.record(Event::ZddKernel {
             cache_hits: zdd_stats.cache_hits,
             cache_misses: zdd_stats.cache_misses,

@@ -172,6 +172,13 @@ impl ImplicitMatrix {
         self.zdd.node_count(self.rows)
     }
 
+    /// Longest root-to-terminal path of the family ([`Zdd::depth`]): the
+    /// recursion depth of the implicit reductions on it. At least the
+    /// longest row, at most the number of live columns.
+    pub(crate) fn depth(&self) -> usize {
+        self.zdd.depth(self.rows)
+    }
+
     /// Counters of the underlying ZDD manager (unique-table and memo-cache
     /// hit/miss, node high-water mark, GC activity) accumulated over all
     /// implicit operations on this matrix.

@@ -13,7 +13,7 @@
 //! terminal transition never needs the tenant map's lock, and the two
 //! locks are never held together.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -189,19 +189,22 @@ pub fn parse_wire_id(s: &str) -> Option<u64> {
     s.strip_prefix("j-")?.parse().ok()
 }
 
-/// All jobs this server has accepted, keyed by engine job id. Entries
-/// are kept after they turn terminal so results stay pollable; they are
-/// reclaimed when their count exceeds `retain_terminal` (oldest-id
-/// first — ids are submission-ordered).
+/// All jobs this server has accepted, keyed (and ordered) by engine job
+/// id. Entries are kept after they turn terminal so results stay
+/// pollable. Whenever an insert leaves the table tracking more than
+/// `retain_terminal` entries in total — in-flight and terminal counted
+/// together — the oldest terminal entries (lowest ids; ids are
+/// submission-ordered) are evicted until the total is back at the cap or
+/// no terminal entry is left. In-flight entries are never evicted.
 pub struct JobTable {
-    jobs: Mutex<HashMap<u64, JobEntry>>,
+    jobs: Mutex<BTreeMap<u64, JobEntry>>,
     retain_terminal: usize,
 }
 
 impl JobTable {
     pub fn new(retain_terminal: usize) -> JobTable {
         JobTable {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             retain_terminal: retain_terminal.max(1),
         }
     }
@@ -318,21 +321,24 @@ impl JobTable {
         self.evict_locked(&mut jobs);
     }
 
-    /// Drops the oldest terminal entries beyond the retention cap.
-    /// In-flight entries are never evicted: every accepted job stays
-    /// observable until after it resolves.
-    fn evict_locked(&self, jobs: &mut HashMap<u64, JobEntry>) {
+    /// Drops the oldest terminal entries while the table tracks more
+    /// than `retain_terminal` entries. In-flight entries are never
+    /// evicted: every accepted job stays observable until after it
+    /// resolves. The walk is in id order and stops after `excess`
+    /// terminal entries, so it visits only the in-flight entries older
+    /// than the ones it drops.
+    fn evict_locked(&self, jobs: &mut BTreeMap<u64, JobEntry>) {
         let excess = jobs.len().saturating_sub(self.retain_terminal);
         if excess == 0 {
             return;
         }
-        let mut terminal_ids: Vec<u64> = jobs
+        let doomed: Vec<u64> = jobs
             .iter()
             .filter(|(_, e)| matches!(e.state, EntryState::Terminal { .. }))
             .map(|(&id, _)| id)
+            .take(excess)
             .collect();
-        terminal_ids.sort_unstable();
-        for id in terminal_ids.into_iter().take(excess) {
+        for id in doomed {
             jobs.remove(&id);
         }
     }
@@ -441,5 +447,104 @@ fn terminal_state(result: JobResult) -> EntryState {
             result: None,
             error: Some(WireError::new(err.wire_code(), err.to_string())),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cover::CoverMatrix;
+    use ucp_core::{ScgOptions, SolveRequest};
+    use ucp_durability::Terminal;
+    use ucp_engine::{Engine, EngineConfig};
+
+    /// Submits solves that stay in flight until cancelled (STS(9) never
+    /// certifies, so its restart schedule runs to the end), and cancels
+    /// them on drop: a failed assertion must not leave the engine's
+    /// shutdown waiting on them.
+    struct Blockers<'e> {
+        engine: &'e Engine,
+        flags: Vec<CancelFlag>,
+    }
+
+    impl Blockers<'_> {
+        fn submit(&mut self) -> JobHandle {
+            let rows = vec![
+                vec![0, 1, 2],
+                vec![3, 4, 5],
+                vec![6, 7, 8],
+                vec![0, 3, 6],
+                vec![1, 4, 7],
+                vec![2, 5, 8],
+                vec![0, 4, 8],
+                vec![1, 5, 6],
+                vec![2, 3, 7],
+                vec![0, 5, 7],
+                vec![1, 3, 8],
+                vec![2, 4, 6],
+            ];
+            let opts = ScgOptions {
+                num_iter: 5_000_000,
+                ..ScgOptions::default()
+            };
+            let m = Arc::new(CoverMatrix::from_rows(9, rows));
+            let handle = self
+                .engine
+                .submit(SolveRequest::for_shared(m).options(opts))
+                .unwrap();
+            self.flags.push(handle.cancel_flag());
+            handle
+        }
+    }
+
+    impl Drop for Blockers<'_> {
+        fn drop(&mut self) {
+            for flag in &self.flags {
+                flag.cancel();
+            }
+        }
+    }
+
+    fn tracked(table: &JobTable) -> Vec<u64> {
+        table.jobs.lock().unwrap().keys().copied().collect()
+    }
+
+    #[test]
+    fn eviction_takes_the_oldest_terminal_entries_and_spares_in_flight_ones() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            queue_capacity: 4,
+        });
+        let mut blockers = Blockers {
+            engine: &engine,
+            flags: Vec::new(),
+        };
+        let slots = || Arc::new(AtomicUsize::new(1));
+
+        let table = JobTable::new(3);
+        let terminal =
+            |id: u64| table.insert_recovered_terminal(id, "t".into(), &Terminal::Cancelled);
+        terminal(1);
+        table.insert(2, blockers.submit(), "t".into(), slots(), false, None);
+        terminal(3);
+        assert_eq!(tracked(&table), [1, 2, 3], "at the cap nothing goes");
+        terminal(4);
+        assert_eq!(tracked(&table), [2, 3, 4], "the oldest terminal entry goes");
+        terminal(5);
+        terminal(6);
+        assert_eq!(
+            tracked(&table),
+            [2, 5, 6],
+            "in-flight 2 outlives younger entries"
+        );
+        assert!(table.poll(1).is_none());
+        assert_eq!(table.poll(2).unwrap().state, JobState::Pending);
+
+        // With only in-flight entries past the cap, nothing is evictable.
+        let only_in_flight = JobTable::new(1);
+        for id in [7, 8] {
+            only_in_flight.insert(id, blockers.submit(), "t".into(), slots(), false, None);
+        }
+        assert_eq!(tracked(&only_in_flight), [7, 8]);
     }
 }

@@ -109,7 +109,10 @@ pub struct ServerConfig {
     /// Consecutive submissions that must observe queue depth ≥ ¾·cap
     /// before shedding engages (it disengages at ≤ ½·cap).
     pub shed_after: u32,
-    /// Terminal jobs kept pollable before the oldest are evicted.
+    /// Cap on the jobs the server tracks, in-flight and terminal counted
+    /// together. A submission that pushes the total past it evicts the
+    /// oldest terminal jobs (never an in-flight one), whose ids then poll
+    /// as `404`.
     pub retain_terminal: usize,
     /// Directory of the write-ahead job journal (`ucp serve
     /// --journal`). `None` (the default) runs without durability —

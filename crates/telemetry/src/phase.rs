@@ -46,9 +46,10 @@ impl Phase {
 
 /// Wall-clock seconds spent in each phase of one solve.
 ///
-/// Partitioned solves accumulate the per-block breakdowns, so the sum can
-/// reflect more than elapsed time only when blocks run in parallel; for
-/// sequential solves `total()` tracks the overall solve time closely.
+/// Partitioned solves accumulate the per-block breakdowns and pooled
+/// restarts their per-worker seconds, so the sum can exceed elapsed time
+/// only when restarts run in parallel; for sequential solves `total()`
+/// tracks the overall solve time closely.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
     pub implicit_reduction: f64,

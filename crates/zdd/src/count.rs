@@ -51,6 +51,55 @@ impl Zdd {
         }
         seen.len()
     }
+
+    /// Number of internal nodes on the longest root-to-terminal path of
+    /// `f` (0 for a terminal). The recursive operations (`count`,
+    /// `minimal`, `subset0`, …) nest once per node along such a path, so
+    /// this bounds their stack depth. Computed with an explicit stack, so
+    /// it is safe on any diagram.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use zdd::{Var, Zdd};
+    /// let mut z = Zdd::default();
+    /// // {0}, {1}, {2}: a lo-chain three nodes deep, every set a singleton.
+    /// let f = z.from_sets([vec![Var(0)], vec![Var(1)], vec![Var(2)]]);
+    /// assert_eq!(z.depth(f), 3);
+    /// ```
+    pub fn depth(&self, f: NodeId) -> usize {
+        let mut memo: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let known = |memo: &FxHashMap<NodeId, usize>, n: NodeId| {
+            if n.is_terminal() {
+                Some(0)
+            } else {
+                memo.get(&n).copied()
+            }
+        };
+        let mut stack = vec![f];
+        while let Some(&n) = stack.last() {
+            if known(&memo, n).is_some() {
+                stack.pop();
+                continue;
+            }
+            let (lo, hi) = (self.lo(n), self.hi(n));
+            match (known(&memo, lo), known(&memo, hi)) {
+                (Some(a), Some(b)) => {
+                    memo.insert(n, 1 + a.max(b));
+                    stack.pop();
+                }
+                (a, b) => {
+                    if a.is_none() {
+                        stack.push(lo);
+                    }
+                    if b.is_none() {
+                        stack.push(hi);
+                    }
+                }
+            }
+        }
+        known(&memo, f).expect("the root was resolved")
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +125,30 @@ mod tests {
         let base = z.base();
         let f = z.difference(f, base);
         assert_eq!(z.count(f), 7);
+    }
+
+    #[test]
+    fn depth_is_the_longest_path() {
+        let mut z = Zdd::default();
+        assert_eq!(z.depth(NodeId::EMPTY), 0);
+        assert_eq!(z.depth(NodeId::BASE), 0);
+        // {0, 1, 2} is a hi-chain three deep; {3} hangs off the lo-chain
+        // of the root's 0-node at depth 2.
+        let f = z.from_sets([vec![Var(0), Var(1), Var(2)], vec![Var(3)]]);
+        assert_eq!(z.depth(f), 3);
+        // A long lo-chain of singletons is as deep as it is wide, and the
+        // explicit stack handles it on a small thread.
+        let deep = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let mut z = Zdd::default();
+                let f = z.from_sets((0..100_000).map(|v| vec![Var(v)]));
+                z.depth(f)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(deep, 100_000);
     }
 
     #[test]

@@ -35,11 +35,11 @@
 //! additionally writes folded-stack lines (`solve;subgradient 123456`)
 //! consumable by standard flamegraph tooling.
 //!
-//! `-j N` / `--workers N` spreads the constructive restarts (and
-//! disconnected partition blocks) over `N` threads sharing one incumbent;
-//! `-j 0` uses all cores. The answer is identical for every `N` — only
-//! the wall clock changes. Traces stay complete: restart events carry a
-//! `worker` tag and are merged in restart order.
+//! `-j N` / `--workers N` spreads each core's constructive restarts over
+//! `N` threads sharing one incumbent (disconnected partition blocks solve
+//! one after another); `-j 0` uses all cores. The answer is identical for
+//! every `N` — only the wall clock changes. Traces stay complete: restart
+//! events carry a `worker` tag and are merged in restart order.
 //!
 //! `ucp batch <easy|difficult|challenging|all>` runs every instance of a
 //! suite as one job each through the `ucp_engine` worker pool: `-j N` sets

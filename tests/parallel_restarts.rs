@@ -2,7 +2,7 @@
 //! answer must be byte-identical for every worker count, the reduce
 //! stage must run exactly once per solve, telemetry must merge cleanly
 //! across workers, and one `time_limit` deadline must span all
-//! partition blocks.
+//! partition blocks (which solve one after another).
 
 use std::time::{Duration, Instant};
 use ucp::cover::CoverMatrix;
@@ -78,24 +78,6 @@ fn worker_count_never_changes_the_answer() {
             assert_eq!(base.lower_bound, par.lower_bound);
             assert_eq!(base.iterations, par.iterations);
         }
-    }
-}
-
-/// The deprecated entrypoints (behind the `legacy-api` feature) are
-/// shims over `Scg::run`; until they are removed, they must keep
-/// returning exactly what the request route does.
-#[cfg(feature = "legacy-api")]
-#[test]
-#[allow(deprecated)]
-fn deprecated_entrypoints_match_the_request_route() {
-    let m = sts9();
-    let via_request = run_with(&m, 4, 8);
-    let via_solve = Scg::new(opts_with(4, 8)).solve(&m);
-    let via_parallel = Scg::new(opts_with(1, 8)).solve_parallel(&m, 4);
-    for old in [&via_solve, &via_parallel] {
-        assert_eq!(via_request.cost, old.cost);
-        assert_eq!(via_request.solution.cols(), old.solution.cols());
-        assert_eq!(via_request.lower_bound, old.lower_bound);
     }
 }
 

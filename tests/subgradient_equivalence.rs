@@ -6,8 +6,8 @@
 //! iteration count the same.
 //!
 //! The constraint-kind-parameterised rework extends the contract: the
-//! constrained entry point (`subgradient_ascent_constrained`) with the
-//! trivial constraint set (`b_i ≡ 1`, no GUB groups) must be
+//! constrained loop (`subgradient_ascent_with` given `Some` constraints)
+//! with the trivial constraint set (`b_i ≡ 1`, no GUB groups) must be
 //! bit-identical to the unate path too — the generalisation may not
 //! perturb a single float of the historical behaviour.
 
@@ -17,8 +17,9 @@ use ucp::ucp_core::reference::{
     eval_dual_lagrangian_dense, eval_primal_dense, subgradient_ascent_dense,
 };
 use ucp::ucp_core::relax::eval_primal;
-use ucp::ucp_core::{subgradient_ascent, subgradient_ascent_constrained, SubgradientOptions};
+use ucp::ucp_core::{subgradient_ascent, subgradient_ascent_with, SubgradientOptions};
 use ucp::ucp_core::{Constraints, GubGroup};
+use ucp::ucp_telemetry::NoopProbe;
 use ucp::workloads::suite;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -66,7 +67,7 @@ fn assert_unate_specialization(
 ) {
     let unate = subgradient_ascent(m, opts, lambda0, ub_hint);
     let cons = Constraints::new().coverage(vec![1; m.num_rows()]);
-    let multi = subgradient_ascent_constrained(m, opts, &cons, lambda0, ub_hint);
+    let multi = subgradient_ascent_with(m, opts, Some(&cons), lambda0, ub_hint, &mut NoopProbe);
     assert_eq!(multi.iterations, unate.iterations, "{name}: iterations");
     assert_eq!(multi.lb.to_bits(), unate.lb.to_bits(), "{name}: lb");
     assert_eq!(
@@ -237,8 +238,14 @@ fn multicover_relaxation_stays_a_valid_bound() {
     for n in [5usize, 9, 13] {
         let m = cycle(n);
         let cons = Constraints::new().coverage(vec![2; n]);
-        let r =
-            subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+        let r = subgradient_ascent_with(
+            &m,
+            &SubgradientOptions::default(),
+            Some(&cons),
+            None,
+            None,
+            &mut NoopProbe,
+        );
         assert!(
             r.lb <= n as f64 + 1e-9,
             "C{n}: LB {} above optimum {n}",
@@ -255,7 +262,14 @@ fn multicover_relaxation_stays_a_valid_bound() {
     // greedy: the returned cover must honour them.
     let m = cycle(9);
     let cons = Constraints::new().gub_groups(vec![GubGroup::new(vec![0, 1, 2], 1)]);
-    let r = subgradient_ascent_constrained(&m, &SubgradientOptions::default(), &cons, None, None);
+    let r = subgradient_ascent_with(
+        &m,
+        &SubgradientOptions::default(),
+        Some(&cons),
+        None,
+        None,
+        &mut NoopProbe,
+    );
     if let Some(sol) = &r.best_solution {
         assert!(cons.is_satisfied(&m, sol), "cover violates the GUB bound");
     }
